@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -161,5 +162,49 @@ func TestRouterCancelMidStream(t *testing.T) {
 	// The Router still works — the next statement dials fresh.
 	if _, err := r.Exec(`SELECT COUNT(*) FROM big`); err != nil {
 		t.Fatalf("router dead after cancel: %v", err)
+	}
+}
+
+// TestLateCancelSparesNextStatement: a context canceled after the
+// server finished its statement, but before the client read the
+// trailer, still makes the watcher send an out-of-band CANCEL. That
+// CANCEL names its own statement, so it must not kill the
+// connection's next one when it lands while that one runs.
+func TestLateCancelSparesNextStatement(t *testing.T) {
+	db, addr := startServer(t, "")
+	sess := db.AdminSession()
+	if _, err := sess.Exec(`CREATE TABLE kv (k BIGINT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(`INSERT INTO kv VALUES (0)`)
+	for k := 1; k < 300; k++ {
+		fmt.Fprintf(&b, ", (%d)", k)
+	}
+	if _, err := sess.Exec(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Dial(addr, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	for round := 0; round < 5; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		// 300 rows arrive as two ROWS frames; stop after the first row,
+		// so the trailer is still unread when the context ends.
+		rows, err := conn.QueryContext(ctx, `SELECT k FROM kv`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("round %d: no rows: %v", round, rows.Err())
+		}
+		cancel()
+		rows.Close()
+		if _, err := conn.Exec(`SELECT sleep(100)`); err != nil {
+			t.Fatalf("round %d: a late CANCEL killed the next statement: %v", round, err)
+		}
 	}
 }

@@ -131,6 +131,9 @@ type Conn struct {
 	// prepare a routed statement at most once (see preparedFor).
 	stmts map[string]*Stmt
 
+	// encBuf is reused to encode each EXECUTE frame; c.w copies it.
+	encBuf []byte
+
 	// lastTraceID is the trace ID stamped on the most recent statement
 	// this connection sent; servers echo it in slow-query audit lines
 	// and the \stats breakdown, tying client and server views together.
@@ -387,7 +390,7 @@ func (c *Conn) ExecShard(waitLSN, shardVer uint64, sql string, params ...Value) 
 // buffers the stream into a Result — the text API is a shim over the
 // streaming protocol.
 func (c *Conn) execOnce(waitLSN, shardVer uint64, sql string, params []Value) (*Result, error) {
-	rows, err := c.startExec(0, sql, waitLSN, shardVer, params, 0, nil, nil)
+	rows, err := c.startExec(0, sql, obs.NewTraceID(), waitLSN, shardVer, params, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +404,7 @@ func (c *Conn) execOnce(waitLSN, shardVer uint64, sql string, params []Value) (*
 // are owned by the returned stream and are guaranteed to run exactly
 // once whenever it ends, including on every failure path of this
 // call.
-func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64, params []Value, chunkRows uint32, stopWatch func(), onClose func(error)) (*connRows, error) {
+func (c *Conn) startExec(stmtID uint64, sqlText string, traceID, waitLSN, shardVer uint64, params []Value, chunkRows uint32, stopWatch func(), onClose func(error)) (*connRows, error) {
 	finish := func(err error) error {
 		if stopWatch != nil {
 			stopWatch()
@@ -420,7 +423,7 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	e := &wire.Execute{
 		StmtID: stmtID, SQL: sqlText, Params: params,
 		WaitLSN: waitLSN, ShardVer: shardVer, ChunkRows: chunkRows,
-		TraceID: obs.NewTraceID(),
+		TraceID: traceID,
 	}
 	c.lastTraceID = e.TraceID
 	if c.dirty {
@@ -429,11 +432,14 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 		e.ILabel = c.pilabel
 		e.Principal = c.principal
 	}
-	payload, err := e.Encode()
+	frame, err := e.AppendFrame(c.encBuf[:0])
 	if err != nil {
 		return nil, finish(err)
 	}
-	if err := wire.WriteFrame(c.w, wire.MsgExecute, payload); err != nil {
+	if cap(frame) <= wire.MaxKeptEncodeBuf {
+		c.encBuf = frame
+	}
+	if _, err := c.w.Write(frame); err != nil {
 		return nil, finish(err)
 	}
 	if err := c.w.Flush(); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // startServer brings up a wire server over a fresh IFDB engine on a
 // loopback listener.
-func startServer(t *testing.T, token string) (*ifdb.DB, string) {
+func startServer(t testing.TB, token string) (*ifdb.DB, string) {
 	t.Helper()
 	db := ifdb.MustOpen(ifdb.Config{IFC: true})
 	srv := wire.NewServer(db.Engine(), token)

@@ -19,6 +19,7 @@ import (
 	"net"
 	"time"
 
+	"ifdb/internal/obs"
 	"ifdb/internal/wire"
 )
 
@@ -107,8 +108,11 @@ func (c *Conn) startExecCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer u
 		}
 		stmtID, sqlText = stmt.id, ""
 	}
-	stop := c.watchCancel(ctx)
-	rows, err := c.startExec(stmtID, sqlText, waitLSN, shardVer, params, 0, stop, onClose)
+	// The statement's trace ID exists before the watcher, so a CANCEL
+	// can only ever name this statement.
+	traceID := obs.NewTraceID()
+	stop := c.watchCancel(ctx, traceID)
+	rows, err := c.startExec(stmtID, sqlText, traceID, waitLSN, shardVer, params, 0, stop, onClose)
 	if err != nil {
 		return nil, ctxErrOr(ctx, err)
 	}
@@ -117,9 +121,12 @@ func (c *Conn) startExecCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer u
 }
 
 // watchCancel arms a goroutine that, when ctx ends before stop is
-// called, sends the out-of-band CANCEL and — if the server does not
-// answer within cancelGrace — severs the statement's socket.
-func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
+// called, sends the out-of-band CANCEL for the statement with trace
+// ID traceID and — if the server does not answer within cancelGrace —
+// severs the statement's socket. The CANCEL names the statement, so
+// one sent after the statement ended is ignored by the server rather
+// than killing the connection's next statement.
+func (c *Conn) watchCancel(ctx context.Context, traceID uint64) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
@@ -133,7 +140,7 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			sendCancelTo(addr, sid, key, dialTimeout)
+			sendCancelTo(addr, sid, key, traceID, dialTimeout)
 			select {
 			case <-done:
 			case <-time.After(cancelGrace):
@@ -145,9 +152,10 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
 }
 
 // sendCancelTo opens a fresh connection and fires a CANCEL frame for
-// the (session, key) pair — best-effort: a cancel that cannot be
-// delivered degrades to the grace-period socket cut.
-func sendCancelTo(addr string, sessID, cancelKey uint64, dialTimeout time.Duration) {
+// the (session, key) pair, scoped to the statement with trace ID
+// traceID — best-effort: a cancel that cannot be delivered degrades to
+// the grace-period socket cut.
+func sendCancelTo(addr string, sessID, cancelKey, traceID uint64, dialTimeout time.Duration) {
 	if sessID == 0 {
 		return // v1 server: no cancellation support
 	}
@@ -160,7 +168,7 @@ func sendCancelTo(addr string, sessID, cancelKey uint64, dialTimeout time.Durati
 	}
 	defer nc.Close()
 	w := bufio.NewWriter(nc)
-	frame := (&wire.Cancel{SessionID: sessID, CancelKey: cancelKey}).Encode()
+	frame := (&wire.Cancel{SessionID: sessID, CancelKey: cancelKey, TraceID: traceID}).Encode()
 	if err := wire.WriteFrame(w, wire.MsgCancel, frame); err != nil {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"ifdb/internal/label"
 	"ifdb/internal/plan"
 	"ifdb/internal/sql"
+	"ifdb/internal/storage"
 	"ifdb/internal/types"
 )
 
@@ -59,21 +60,30 @@ func (s *Session) planFor(sel *sql.SelectStmt, strip label.Label) (*plan.Plan, e
 
 // planRuntime binds a plan to this session's statement transaction,
 // label state, parameters, and cancellation flag.
-func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
-	tx := s.stmtTx
-	return &plan.Runtime{
-		Params: qc.params,
-		Funcs:  sessionFuncs{s},
-		SubqFor: func(strip label.Label) exec.SubqueryRunner {
-			return subqRunner{s, &qctx{params: qc.params, strip: strip}}
-		},
-		Visible:      tx.Visible,
-		TupleVisible: s.tupleVisible,
-		EffLabel:     s.effectiveTupleLabel,
-		Check:        s.checkCanceled,
-		OnScanned:    mRowsScanned.Add,
-	}
+func (s *Session) planRuntime(params []types.Value) plan.Runtime {
+	return plan.Runtime{Params: params, Tx: s.stmtTx, Host: sessionHost{s}}
 }
+
+// Subqueries implements plan.Host.
+func (h sessionHost) Subqueries(params []types.Value, strip label.Label) exec.SubqueryRunner {
+	return subqRunner{h.s, &qctx{params: params, strip: strip}}
+}
+
+// TupleVisible implements plan.Host.
+func (h sessionHost) TupleVisible(tv *storage.TupleVersion, strip label.Label) bool {
+	return h.s.tupleVisible(tv, strip)
+}
+
+// EffLabel implements plan.Host.
+func (h sessionHost) EffLabel(l, strip label.Label) label.Label {
+	return h.s.effectiveTupleLabel(l, strip)
+}
+
+// Check implements plan.Host.
+func (h sessionHost) Check() error { return h.s.checkCanceled() }
+
+// Scanned implements plan.Host.
+func (h sessionHost) Scanned(n int64) { mRowsScanned.Add(n) }
 
 // executeSelect runs a SELECT to a materialized relation, dispatching
 // between the streaming executor and the legacy oracle. Subqueries and
@@ -87,7 +97,8 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*relation, error
 	if err != nil {
 		return nil, err
 	}
-	it, err := p.Open(s.planRuntime(qc))
+	rt := s.planRuntime(qc.params)
+	it, err := p.Open(&rt)
 	if err != nil {
 		return nil, err
 	}
@@ -103,22 +114,6 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*relation, error
 		}
 		rel.rows = append(rel.rows, qrow{vals: r.Vals, lbl: r.Lbl, ilbl: r.ILbl})
 	}
-}
-
-// openSelect opens a SELECT as a live iterator (the streaming path the
-// wire server's cursor rides). The caller owns the iterator and must
-// Close it; the statement transaction must stay open meanwhile.
-func (s *Session) openSelect(sel *sql.SelectStmt, params []types.Value) (*plan.Plan, plan.Iter, error) {
-	qc := &qctx{params: params}
-	p, err := s.planFor(sel, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	it, err := p.Open(s.planRuntime(qc))
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, it, nil
 }
 
 // explainSelect renders the analyzed plan of sel as a one-column

@@ -105,19 +105,41 @@ func (s *Session) ExecPrepared(p *Prepared, params ...types.Value) (*Result, err
 // goroutine — it is the one session operation that is: the wire
 // server invokes it from an out-of-band cancel connection.
 //
-// Cancellation is flag-based, so a cancel that arrives between
-// statements marks the *next* statement (the same benign race
-// PostgreSQL's cancel protocol has); ResetCancel clears the flag
-// before a new statement when the caller can bound the race.
-func (s *Session) Cancel() {
+// Cancellation is flag-based, so an unscoped cancel that arrives
+// between statements marks the *next* statement (the same benign race
+// PostgreSQL's cancel protocol has); CancelStatement names the
+// statement instead and cannot.
+func (s *Session) Cancel() { s.CancelStatement(0) }
+
+// CancelStatement interrupts the running statement if its trace ID is
+// id (as stamped by ResetCancelFor); a zero id cancels whatever runs,
+// as Cancel does. The check and the cancel are one step against
+// ResetCancelFor, so a cancel meant for a statement that has already
+// ended can never mark its successor.
+func (s *Session) CancelStatement(id uint64) {
+	s.cancelMu.Lock()
+	defer s.cancelMu.Unlock()
+	if id != 0 && id != s.cancelScope {
+		return
+	}
 	s.canceled.Store(true)
 	mCancels.Inc()
 }
 
-// ResetCancel clears a pending cancel. The wire server calls it as
-// each statement arrives, bounding the cancel's scope to the
-// statement that was actually running when it was sent.
-func (s *Session) ResetCancel() { s.canceled.Store(false) }
+// ResetCancel clears a pending cancel and ends any cancel scope (see
+// ResetCancelFor).
+func (s *Session) ResetCancel() { s.ResetCancelFor(0) }
+
+// ResetCancelFor clears a pending cancel and scopes CancelStatement to
+// the statement with trace ID id; zero means no statement. The wire
+// server calls it as each statement arrives and again when it ends,
+// bounding a cancel to the statement that was actually running.
+func (s *Session) ResetCancelFor(id uint64) {
+	s.cancelMu.Lock()
+	s.cancelScope = id
+	s.canceled.Store(false)
+	s.cancelMu.Unlock()
+}
 
 // Canceled reports whether a cancel is pending. The wire server polls
 // it between ROWS chunks so a cancel that lands after execution but

@@ -46,12 +46,14 @@ type qctx struct {
 	strip label.Label
 }
 
-// sessionFuncs adapts the session to exec.FuncResolver, providing the
-// IFDB SQL-callable functions (§7.1) and stored procedures.
-type sessionFuncs struct{ s *Session }
+// sessionHost adapts the session to exec.FuncResolver, providing the
+// IFDB SQL-callable functions (§7.1) and stored procedures, and to
+// plan.Host (planned.go). A single pointer, it converts to either
+// interface without allocating.
+type sessionHost struct{ s *Session }
 
 // CallFunc dispatches scalar function calls.
-func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, error) {
+func (f sessionHost) CallFunc(name string, args []types.Value) (types.Value, error) {
 	s := f.s
 	eng := s.eng
 	tagArg := func(i int) (label.Tag, error) {
@@ -218,7 +220,7 @@ func (s *Session) newEnv(schema exec.Schema, qc *qctx) *exec.Env {
 	return &exec.Env{
 		Schema: schema,
 		Params: qc.params,
-		Funcs:  sessionFuncs{s},
+		Funcs:  sessionHost{s},
 		Subq:   subqRunner{s, qc},
 	}
 }

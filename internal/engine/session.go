@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ifdb/internal/authority"
@@ -53,10 +54,14 @@ type Session struct {
 	lastCommit wal.LSN
 
 	// canceled interrupts the running statement (see Cancel in
-	// prepare.go). The one concurrently-touched field of a session:
+	// prepare.go). The one concurrently-touched state of a session:
 	// the wire server's out-of-band cancel path sets it from another
-	// goroutine.
-	canceled atomic.Bool
+	// goroutine. cancelMu orders a statement-scoped cancel against
+	// the next statement's ResetCancelFor; cancelScope is the trace ID
+	// of the statement a scoped cancel may interrupt.
+	canceled    atomic.Bool
+	cancelMu    sync.Mutex
+	cancelScope uint64
 
 	// stats is the most recent statement's timing breakdown and trace
 	// ID (see metrics.go); read back through the wire server's stats op.

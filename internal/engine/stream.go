@@ -32,9 +32,10 @@ type Cursor struct {
 
 	// Streaming state (nil it → materialized fallback).
 	it       plan.Iter
-	stmtTx   *txn.Txn // transaction the cursor runs under
-	auto     bool     // stmtTx is a cursor-owned autocommit transaction
-	explicit bool     // stmtTx is the session's explicit transaction
+	rt       plan.Runtime // it runs against rt; embedded, not allocated
+	stmtTx   *txn.Txn     // transaction the cursor runs under
+	auto     bool         // stmtTx is a cursor-owned autocommit transaction
+	explicit bool         // stmtTx is the session's explicit transaction
 
 	// Materialized fallback.
 	res *Result
@@ -122,16 +123,17 @@ func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor
 		c.auto = true
 		s.stmtTx = c.stmtTx
 	}
-	p, it, err := s.openSelect(sel, params)
+	p, err := s.planFor(sel, nil)
 	if err != nil {
 		c.fail(err)
 		return nil, err
 	}
-	c.it = it
-	c.cols = make([]string, len(p.Schema()))
-	for i, cm := range p.Schema() {
-		c.cols[i] = cm.Name
+	c.rt = s.planRuntime(params)
+	if c.it, err = p.Open(&c.rt); err != nil {
+		c.fail(err)
+		return nil, err
 	}
+	c.cols = p.Columns()
 	return c, nil
 }
 
@@ -147,17 +149,27 @@ func (c *Cursor) Affected() int {
 	return 0
 }
 
+// Done reports whether the cursor is finished: its rows are all
+// returned (or it failed or was closed), and its statement transaction
+// is resolved. After a nil-error NextBatch, Done means that batch was
+// the last — it can be true after a full batch when the result size is
+// a multiple of max and the cursor knows it.
+func (c *Cursor) Done() bool { return c.done }
+
 // Streaming reports whether the cursor serves a live iterator (false:
 // a materialized result is being sliced).
 func (c *Cursor) Streaming() bool { return c.it != nil }
 
-// NextBatch returns up to max rows (and, under IFC, their labels). An
-// empty batch with a nil error means the result is exhausted and the
-// statement's transaction has been resolved; an error means the
-// statement failed and its transaction was aborted (discarding any
-// rows pulled in the failing batch, as a materialized statement
-// would). Returned rows share the engine's tuple storage and are valid
-// until the session's next statement.
+// NextBatch returns up to max rows (and, under IFC, their labels).
+// Every batch holds exactly max rows unless the result is exhausted:
+// a shorter batch (possibly empty) with a nil error is the last one,
+// and by the time it returns the statement's transaction has been
+// resolved — committed in autocommit — so Done reports true. A caller
+// may therefore ship a short batch together with the statement's
+// trailer. An error means the statement failed and its transaction was
+// aborted (discarding any rows pulled in the failing batch, as a
+// materialized statement would). Returned rows share the engine's
+// tuple storage and are valid until the session's next statement.
 func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 	if c.done {
 		return nil, nil, c.err

@@ -183,3 +183,38 @@ func TestCursorLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCancelStatementScope: a statement-scoped cancel interrupts only
+// the statement whose trace ID it names, and only while that statement
+// is current; an unscoped cancel interrupts whatever runs.
+func TestCancelStatementScope(t *testing.T) {
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+
+	s.ResetCancelFor(7)
+	if s.CancelStatement(6); s.Canceled() {
+		t.Fatal("a cancel naming another statement interrupted statement 7")
+	}
+	if s.CancelStatement(7); !s.Canceled() {
+		t.Fatal("a cancel naming statement 7 did not interrupt it")
+	}
+	s.ResetCancelFor(8)
+	if s.Canceled() {
+		t.Fatal("statement 7's cancel carried over to statement 8")
+	}
+	if s.CancelStatement(7); s.Canceled() {
+		t.Fatal("a late cancel naming statement 7 interrupted statement 8")
+	}
+	s.ResetCancel()
+	if s.CancelStatement(8); s.Canceled() {
+		t.Fatal("a cancel naming statement 8 landed after it ended")
+	}
+	s.Cancel()
+	if !s.Canceled() {
+		t.Fatal("an unscoped cancel was ignored")
+	}
+	s.ResetCancel()
+	if _, err := s.Exec(`SELECT 1`); err != nil {
+		t.Fatalf("session dead after cancel cleared: %v", err)
+	}
+}

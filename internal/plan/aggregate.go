@@ -106,7 +106,7 @@ func (it *aggIter) drain() error {
 		if len(n.GroupBy) > 0 {
 			kv := make([]types.Value, len(n.GroupBy))
 			for i, ge := range n.GroupBy {
-				v, err := exec.Eval(ge, env)
+				v, err := exec.Eval(ge, &env)
 				if err != nil {
 					return err
 				}
@@ -139,7 +139,7 @@ func (it *aggIter) drain() error {
 			if len(fc.Args) != 1 {
 				return fmt.Errorf("engine: aggregate %s takes one argument", fc.Name)
 			}
-			v, err := exec.Eval(fc.Args[0], env)
+			v, err := exec.Eval(fc.Args[0], &env)
 			if err != nil {
 				return err
 			}

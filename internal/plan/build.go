@@ -24,7 +24,11 @@ func Build(cat *catalog.Catalog, sel *sql.SelectStmt, strip label.Label) (*Plan,
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: root, blocking: hasBlocking(root)}, nil
+	cols := make([]string, len(root.Schema()))
+	for i, c := range root.Schema() {
+		cols[i] = c.Name
+	}
+	return &Plan{Root: root, blocking: hasBlocking(root), cols: cols}, nil
 }
 
 // buildSelect compiles one SELECT level: sources and joins first, then

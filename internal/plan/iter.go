@@ -56,7 +56,7 @@ func (it *valuesIter) Close() {}
 type scanIter struct {
 	n   *ScanNode
 	rt  *Runtime
-	env *exec.Env // pushed-predicate env over the full table schema
+	env exec.Env // pushed-predicate env over the full table schema
 
 	key []types.Value // index probe prefix (index mode)
 
@@ -110,19 +110,19 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 // are buffered, pruned to the scan's output columns.
 func (it *scanIter) accept(tv *storage.TupleVersion) error {
 	it.scanned++
-	if !it.rt.Visible(tv.Xmin, tv.Xmax) {
+	if !it.rt.Tx.Visible(tv.Xmin, tv.Xmax) {
 		return nil
 	}
-	if !it.rt.TupleVisible(tv, it.n.Strip) {
+	if !it.rt.Host.TupleVisible(tv, it.n.Strip) {
 		return nil
 	}
-	lbl := it.rt.EffLabel(tv.Label, it.n.Strip)
+	lbl := it.rt.Host.EffLabel(tv.Label, it.n.Strip)
 	if len(it.n.Pushed) > 0 {
 		it.env.Row = tv.Row
 		it.env.RowLabel = lbl
 		it.env.RowILabel = tv.ILabel
 		for _, p := range it.n.Pushed {
-			v, err := exec.Eval(p, it.env)
+			v, err := exec.Eval(p, &it.env)
 			if err != nil {
 				return err
 			}
@@ -145,7 +145,7 @@ func (it *scanIter) accept(tv *storage.TupleVersion) error {
 func (it *scanIter) refillHeap() error {
 	var cbErr error
 	next, more := it.batch.ScanFrom(it.next, scanBatch, func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.check(); cbErr != nil {
+		if cbErr = it.rt.Host.Check(); cbErr != nil {
 			return false
 		}
 		if cbErr = it.accept(tv); cbErr != nil {
@@ -168,7 +168,7 @@ func (it *scanIter) refillHeap() error {
 func (it *scanIter) materializeHeap() error {
 	var cbErr error
 	it.n.Table.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.check(); cbErr != nil {
+		if cbErr = it.rt.Host.Check(); cbErr != nil {
 			return false
 		}
 		if cbErr = it.accept(tv); cbErr != nil {
@@ -184,7 +184,7 @@ func (it *scanIter) refillIndex() error {
 	var cbErr error
 	lastKey, lastTID, more := it.n.Index.Tree.AscendPrefixAfter(it.key, it.lastKey, it.lastTID, scanBatch,
 		func(k index.Key, tid storage.TID) bool {
-			if cbErr = it.rt.check(); cbErr != nil {
+			if cbErr = it.rt.Host.Check(); cbErr != nil {
 				return false
 			}
 			if tv, ok := it.n.Table.Heap.Get(tid); ok {
@@ -239,7 +239,7 @@ func (it *scanIter) Next() (*Row, error) {
 func (it *scanIter) finish() {
 	if !it.reported {
 		it.reported = true
-		it.rt.onScanned(it.scanned)
+		it.rt.Host.Scanned(it.scanned)
 	}
 }
 
@@ -284,7 +284,7 @@ func (it *viewIter) Close() { it.child.Close() }
 type filterIter struct {
 	n     *FilterNode
 	child Iter
-	env   *exec.Env
+	env   exec.Env
 }
 
 func (n *FilterNode) open(rt *Runtime) (Iter, error) {
@@ -302,7 +302,7 @@ func (it *filterIter) Next() (*Row, error) {
 			return nil, err
 		}
 		it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
-		v, err := exec.Eval(it.n.Cond, it.env)
+		v, err := exec.Eval(it.n.Cond, &it.env)
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +380,7 @@ func (it *joinIter) drain() error {
 			env.Row = combined
 			env.RowLabel = lr.Lbl.Union(rr.Lbl)
 			env.RowILabel = lr.ILbl.Intersect(rr.ILbl)
-			v, err := exec.Eval(n.On, env)
+			v, err := exec.Eval(n.On, &env)
 			if err != nil {
 				return err
 			}
@@ -502,14 +502,14 @@ func (it *indexJoinIter) drain() error {
 			if !ok {
 				return true
 			}
-			if !rt.Visible(tv.Xmin, tv.Xmax) || !rt.TupleVisible(&tv, n.Strip) {
+			if !rt.Tx.Visible(tv.Xmin, tv.Xmax) || !rt.Host.TupleVisible(&tv, n.Strip) {
 				return true
 			}
 			combined := append(append([]types.Value{}, lr.Vals...), tv.Row...)
 			env.Row = combined
-			env.RowLabel = lr.Lbl.Union(rt.EffLabel(tv.Label, n.Strip))
+			env.RowLabel = lr.Lbl.Union(rt.Host.EffLabel(tv.Label, n.Strip))
 			env.RowILabel = lr.ILbl.Intersect(tv.ILabel)
-			v, err := exec.Eval(n.On, env)
+			v, err := exec.Eval(n.On, &env)
 			if err != nil {
 				probeErr = err
 				return false
@@ -539,7 +539,7 @@ func (it *indexJoinIter) Close() { it.left.Close() }
 type projectIter struct {
 	n     *ProjectNode
 	child Iter
-	env   *exec.Env
+	env   exec.Env
 }
 
 func (n *ProjectNode) open(rt *Runtime) (Iter, error) {
@@ -558,7 +558,7 @@ func (it *projectIter) Next() (*Row, error) {
 	it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
 	vals := make([]types.Value, len(it.n.Items))
 	for i, item := range it.n.Items {
-		v, err := exec.Eval(item.Expr, it.env)
+		v, err := exec.Eval(item.Expr, &it.env)
 		if err != nil {
 			return nil, err
 		}
@@ -568,7 +568,7 @@ func (it *projectIter) Next() (*Row, error) {
 	if len(it.n.OrderExprs) > 0 {
 		keys = make([]types.Value, len(it.n.OrderExprs))
 		for i, oe := range it.n.OrderExprs {
-			v, err := exec.Eval(oe, it.env)
+			v, err := exec.Eval(oe, &it.env)
 			if err != nil {
 				return nil, err
 			}
@@ -674,7 +674,8 @@ type offsetIter struct {
 }
 
 func (n *OffsetNode) open(rt *Runtime) (Iter, error) {
-	nv, err := evalIntConst(n.Expr, rt.env(nil, n.Strip))
+	env := rt.env(nil, n.Strip)
+	nv, err := evalIntConst(n.Expr, &env)
 	if err != nil {
 		return nil, err
 	}
@@ -706,7 +707,8 @@ type limitIter struct {
 }
 
 func (n *LimitNode) open(rt *Runtime) (Iter, error) {
-	nv, err := evalIntConst(n.Expr, rt.env(nil, n.Strip))
+	env := rt.env(nil, n.Strip)
+	nv, err := evalIntConst(n.Expr, &env)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,9 @@ package plan
 import (
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
+	"ifdb/internal/sql"
 	"ifdb/internal/storage"
+	"ifdb/internal/txn"
 	"ifdb/internal/types"
 )
 
@@ -62,55 +64,77 @@ type Iter interface {
 	Close()
 }
 
-// Runtime supplies the session-dependent hooks a plan needs to
+// Runtime supplies the session-dependent state a plan needs to
 // execute. The plan tree itself is immutable and session-free (that is
 // what makes it cacheable); everything that depends on the current
 // transaction, process label, or parameters arrives here.
+//
+// A Runtime is a plain value with no per-execution closures: the
+// engine embeds it in its statement cursor, and its Host is a single
+// pointer to the session, so opening a cached plan allocates no hooks.
+// Nested execution (subqueries, view bodies, a procedure's cursor)
+// builds its own Runtime for the same session.
 type Runtime struct {
 	// Params are the statement's positional parameters.
 	Params []types.Value
-	// Funcs resolves scalar function calls (session functions and
-	// stored procedures).
-	Funcs exec.FuncResolver
-	// SubqFor returns a subquery runner bound to the given declassify
-	// strip — subqueries inside a declassifying view body must run with
-	// the view's strip, not the statement's.
-	SubqFor func(strip label.Label) exec.SubqueryRunner
-	// Visible is the MVCC snapshot predicate of the statement's
-	// transaction.
-	Visible func(xmin, xmax storage.XID) bool
+	// Tx is the statement's transaction; its snapshot decides MVCC
+	// visibility.
+	Tx *txn.Txn
+	// Host is the session the statement runs for.
+	Host Host
+}
+
+// Host is the session side of plan execution: function resolution,
+// subqueries, the label rules, and cancellation.
+type Host interface {
+	// FuncResolver resolves scalar function calls (session functions
+	// and stored procedures).
+	exec.FuncResolver
+	// Subqueries returns a subquery runner for params, bound to the
+	// given declassify strip — subqueries inside a declassifying view
+	// body must run with the view's strip, not the statement's.
+	Subqueries(params []types.Value, strip label.Label) exec.SubqueryRunner
 	// TupleVisible applies the Label Confinement and integrity rules.
-	TupleVisible func(tv *storage.TupleVersion, strip label.Label) bool
+	TupleVisible(tv *storage.TupleVersion, strip label.Label) bool
 	// EffLabel strips declassified tags from a tuple label.
-	EffLabel func(l, strip label.Label) label.Label
+	EffLabel(l, strip label.Label) label.Label
 	// Check polls for statement cancellation; scans call it per tuple.
-	Check func() error
-	// OnScanned receives each scan's visited-tuple count once, when the
+	Check() error
+	// Scanned receives each scan's visited-tuple count once, when the
 	// scan finishes or is closed.
-	OnScanned func(int64)
-}
-
-func (rt *Runtime) check() error {
-	if rt.Check == nil {
-		return nil
-	}
-	return rt.Check()
-}
-
-func (rt *Runtime) onScanned(n int64) {
-	if rt.OnScanned != nil {
-		rt.OnScanned(n)
-	}
+	Scanned(n int64)
 }
 
 // env builds an expression environment over schema with the subquery
-// runner bound to strip.
-func (rt *Runtime) env(schema exec.Schema, strip label.Label) *exec.Env {
-	e := &exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Funcs}
-	if rt.SubqFor != nil {
-		e.Subq = rt.SubqFor(strip)
+// runner bound to strip. Iterators keep the Env by value.
+func (rt *Runtime) env(schema exec.Schema, strip label.Label) exec.Env {
+	e := exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Host}
+	if len(strip) == 0 {
+		e.Subq = (*lazySubq)(rt)
+	} else {
+		e.Subq = rt.Host.Subqueries(rt.Params, strip)
 	}
 	return e
+}
+
+// lazySubq is the subquery runner for the empty strip. It asks the
+// host for a runner only when a subquery is evaluated, so the common
+// plan with no subquery allocates none. A pointer conversion of the
+// Runtime, it costs nothing to put in an Env.
+type lazySubq Runtime
+
+func (l *lazySubq) runner() exec.SubqueryRunner { return l.Host.Subqueries(l.Params, nil) }
+
+func (l *lazySubq) ScalarSubquery(sub *sql.SelectStmt) (types.Value, error) {
+	return l.runner().ScalarSubquery(sub)
+}
+
+func (l *lazySubq) InSubquery(sub *sql.SelectStmt, v types.Value) (bool, error) {
+	return l.runner().InSubquery(sub, v)
+}
+
+func (l *lazySubq) ExistsSubquery(sub *sql.SelectStmt) (bool, error) {
+	return l.runner().ExistsSubquery(sub)
 }
 
 // Node is one operator of the plan tree.
@@ -129,10 +153,16 @@ type Plan struct {
 	// (sort, aggregate, join, distinct): when false, the plan streams
 	// with O(batch) memory regardless of result size.
 	blocking bool
+
+	cols []string // output column names, computed once at Build
 }
 
 // Schema returns the plan's output schema.
 func (p *Plan) Schema() exec.Schema { return p.Root.Schema() }
+
+// Columns returns the output column names. The slice is shared by
+// every execution of the plan and must not be modified.
+func (p *Plan) Columns() []string { return p.cols }
 
 // Open instantiates the plan's iterator tree against rt.
 func (p *Plan) Open(rt *Runtime) (Iter, error) { return p.Root.open(rt) }

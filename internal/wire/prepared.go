@@ -160,8 +160,21 @@ type Execute struct {
 }
 
 // Encode marshals e.
-func (e *Execute) Encode() ([]byte, error) {
-	buf := appendU64(nil, e.StmtID)
+func (e *Execute) Encode() ([]byte, error) { return e.appendEncode(nil) }
+
+// AppendFrame appends e to buf as a complete EXECUTE frame, header
+// included, so the caller sends it with one buffered write.
+func (e *Execute) AppendFrame(buf []byte) ([]byte, error) {
+	start := len(buf)
+	buf, err := e.appendEncode(appendFrameHeader(buf, MsgExecute))
+	if err != nil {
+		return nil, err
+	}
+	return buf, finishFrame(buf[start:])
+}
+
+func (e *Execute) appendEncode(buf []byte) ([]byte, error) {
+	buf = appendU64(buf, e.StmtID)
 	buf = appendString(buf, e.SQL)
 	var err error
 	buf, err = types.EncodeRow(buf, e.Params)
@@ -275,7 +288,11 @@ const (
 )
 
 // Encode marshals c.
-func (c *RowsChunk) Encode() ([]byte, error) {
+func (c *RowsChunk) Encode() ([]byte, error) { return c.appendEncode(nil) }
+
+// appendEncode appends c's encoding to buf and returns the extended
+// buffer.
+func (c *RowsChunk) appendEncode(buf []byte) ([]byte, error) {
 	var flags byte
 	if c.First {
 		flags |= chunkFirst
@@ -289,7 +306,7 @@ func (c *RowsChunk) Encode() ([]byte, error) {
 	if c.Done && c.ShardMap != nil {
 		flags |= chunkShardMap
 	}
-	buf := []byte{flags}
+	buf = append(buf, flags)
 	if c.First {
 		buf = binary.AppendUvarint(buf, uint64(len(c.Cols)))
 		for _, col := range c.Cols {
@@ -439,15 +456,24 @@ func DecodeCloseStmt(buf []byte) (*CloseStmt, error) {
 // replying — exactly the Postgres cancel-request shape, so a client
 // blocked reading its own statement's reply never deadlocks on the
 // cancel path.
+//
+// TraceID scopes the cancel to one statement: the server interrupts
+// the session only while the statement whose EXECUTE carried that
+// trace ID is running, so a CANCEL that arrives late never kills the
+// connection's next statement. It is an optional trailing field; zero
+// (or a payload from an older client, which ends before it) cancels
+// whatever statement the session is running.
 type Cancel struct {
 	SessionID uint64
 	CancelKey uint64
+	TraceID   uint64
 }
 
 // Encode marshals c.
 func (c *Cancel) Encode() []byte {
 	buf := appendU64(nil, c.SessionID)
-	return appendU64(buf, c.CancelKey)
+	buf = appendU64(buf, c.CancelKey)
+	return appendU64(buf, c.TraceID)
 }
 
 // DecodeCancel unmarshals a Cancel payload.
@@ -458,9 +484,12 @@ func DecodeCancel(buf []byte) (*Cancel, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.CancelKey, _, err = readU64(buf)
+	c.CancelKey, buf, err = readU64(buf)
 	if err != nil {
 		return nil, err
+	}
+	if len(buf) >= 8 {
+		c.TraceID, _, _ = readU64(buf)
 	}
 	return &c, nil
 }

@@ -52,6 +52,11 @@ const (
 // MaxFrame bounds a single protocol frame (64 MiB).
 const MaxFrame = 64 << 20
 
+// MaxKeptEncodeBuf bounds the frame-encode buffer a connection keeps
+// for reuse between statements: a point read's frame fits many times
+// over, and a connection that once sent a huge frame does not pin it.
+const MaxKeptEncodeBuf = 64 << 10
+
 // WriteFrame sends one frame: uint32 length, type byte, payload.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
@@ -67,13 +72,37 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame.
+// appendFrameHeader starts a frame of type typ at the end of buf. The
+// length is left zero; finishFrame fills it in once the payload has
+// been appended after the header, so a whole frame goes out in one
+// write.
+func appendFrameHeader(buf []byte, typ byte) []byte { return append(buf, 0, 0, 0, 0, typ) }
+
+// finishFrame fills in the length of the frame that starts at frame[0]
+// and runs to its end.
+func finishFrame(frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n-1)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// ReadFrame reads one frame. The payload is freshly allocated: decoded
+// values may alias it.
 func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// Peek rather than io.ReadFull into a local array, which would
+	// escape through the io.Reader interface.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered these bytes
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}

@@ -131,8 +131,10 @@ func (s *Server) unregisterSession(id uint64) {
 }
 
 // cancelSession services a CANCEL frame: constant-time key check,
-// then interrupt the target session's statement. Unknown ids and bad
-// keys are silently ignored (the requester is unauthenticated).
+// then interrupt the target session's statement — only the statement
+// the frame's trace ID names, when it carries one. Unknown ids, bad
+// keys and statements no longer running are silently ignored (the
+// requester is unauthenticated).
 func (s *Server) cancelSession(c *Cancel) {
 	s.sessMu.Lock()
 	t := s.sessions[c.SessionID]
@@ -146,7 +148,7 @@ func (s *Server) cancelSession(c *Cancel) {
 	if subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
 		return
 	}
-	t.sess.Cancel()
+	t.sess.CancelStatement(c.TraceID)
 }
 
 // Serve accepts connections on ln until Close.
@@ -264,6 +266,7 @@ func (s *Server) handle(conn net.Conn) {
 	// start at 1; 0 is the one-shot EXECUTE form.
 	stmts := make(map[uint64]*engine.Prepared)
 	var stmtSeq uint64
+	rw := &rowsWriter{w: w}
 
 	for {
 		typ, payload, err := ReadFrame(r)
@@ -346,7 +349,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			sess.SetTraceID(e.TraceID)
 			t0 := time.Now()
-			if err := s.runExecute(sess, stmts, e, w); err != nil {
+			if err := s.runExecute(sess, stmts, e, rw); err != nil {
 				return
 			}
 			if err := w.Flush(); err != nil {
@@ -542,38 +545,30 @@ func (s *Server) runQuery(sess *engine.Session, q *Query) *Result {
 // by MaxFrame — with the statement trailer on the final chunk. A
 // returned error means the connection is broken; statement failures
 // travel inside the stream.
-func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, w *bufio.Writer) error {
-	// A cancel can only be meant for the statement that was running
-	// when it was sent; don't let a late one kill this fresh statement
-	// before it starts.
-	sess.ResetCancel()
+func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, rw *rowsWriter) error {
+	// A CANCEL naming this statement's trace ID may interrupt it from
+	// here until it ends, and no other statement: a late CANCEL meant
+	// for the previous statement finds the scope moved on. An
+	// unscoped CANCEL (an older client's, with no ID) cancels whatever
+	// runs, and one left pending from between statements is cleared.
+	sess.ResetCancelFor(e.TraceID)
+	defer sess.ResetCancelFor(0)
 	planT0 := time.Now()
 	if e.SyncLabel {
 		sess.SetLabelUnsafe(e.Label)
 		sess.SetIntegrityUnsafe(e.ILabel)
 		sess.SetPrincipalUnsafe(authority.Principal(e.Principal))
 	}
-	trailer := func(errMsg string, m *ShardMap) *RowsChunk {
-		return &RowsChunk{
-			Done: true, Err: errMsg, ShardMap: m,
-			Label: sess.Label(), ILabel: sess.Integrity(),
-			Epoch: s.eng.Epoch(), LSN: sess.CommitToken(),
-		}
-	}
 	// Shard-map version fencing, exactly as in runQuery.
 	if s.ShardMap != nil && e.ShardVer != 0 {
 		if m := s.ShardMap(); m != nil && e.ShardVer < m.Version {
 			msg := fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, e.ShardVer, m.Version)
-			c := trailer(msg, m)
-			c.First = true
-			return writeChunk(w, c)
+			return s.writeFailure(sess, rw, msg, m)
 		}
 	}
 	if e.WaitLSN > 0 {
 		if err := s.waitApplied(e.WaitLSN); err != nil {
-			c := trailer(err.Error(), nil)
-			c.First = true
-			return writeChunk(w, c)
+			return s.writeFailure(sess, rw, err.Error(), nil)
 		}
 	}
 	planNs := time.Since(planT0).Nanoseconds()
@@ -591,28 +586,50 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	}
 	sess.NotePlanNs(planNs)
 	if err != nil {
-		c := trailer(err.Error(), nil)
-		c.First = true
-		return writeChunk(w, c)
+		return s.writeFailure(sess, rw, err.Error(), nil)
 	}
 	streamT0 := time.Now()
-	serr := s.streamCursor(sess, w, cur, e.ChunkRows, trailer)
+	serr := s.streamCursor(sess, rw, cur, e.ChunkRows)
 	sess.NoteStreamNs(time.Since(streamT0).Nanoseconds())
 	return serr
+}
+
+// setTrailer marks c as the statement's final chunk and fills in the
+// trailer: the error, the session's post-statement labels, and the
+// commit token.
+func (s *Server) setTrailer(sess *engine.Session, c *RowsChunk, errMsg string) {
+	c.Done, c.Err = true, errMsg
+	c.Label, c.ILabel = sess.Label(), sess.Integrity()
+	c.Epoch, c.LSN = s.eng.Epoch(), sess.CommitToken()
+}
+
+// writeFailure sends a statement that failed before producing a
+// cursor: one chunk, first and final, carrying the error (and, on a
+// stale-shard-map refusal, the server's current map).
+func (s *Server) writeFailure(sess *engine.Session, rw *rowsWriter, errMsg string, m *ShardMap) error {
+	c := RowsChunk{First: true, ShardMap: m}
+	s.setTrailer(sess, &c, errMsg)
+	return rw.writeChunk(&c)
 }
 
 // streamCursor pulls the statement cursor batch by batch, writing each
 // as a ROWS chunk. A single SELECT streams end to end: the engine's
 // iterator produces one scan batch at a time, so neither the server
-// nor the client ever holds the full result, and each chunk is flushed
-// as it is pulled. Chunks are bounded by the requested chunk size and
-// by MaxFrame.
+// nor the client ever holds the full result. Chunks are bounded by the
+// requested chunk size and by MaxFrame.
+//
+// A full chunk is flushed as soon as it is pulled, so the first rows
+// of a large result reach the client while the rest is still being
+// scanned. The cursor's last batch — the first one shorter than the
+// chunk size, by NextBatch's contract — is sent together with the
+// statement trailer as one final chunk, and runExecute's single flush
+// sends it: a short result costs one frame and one write.
 //
 // Between chunks it polls the session's cancel flag: an out-of-band
 // CANCEL lands within one batch — the cursor aborts the statement's
 // transaction and the stream terminates with an ErrCanceled trailer
 // instead of scanning (or shipping) the rest of the result.
-func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) *RowsChunk) error {
+func (s *Server) streamCursor(sess *engine.Session, rw *rowsWriter, cur *engine.Cursor, chunkRows uint32) error {
 	defer cur.Close()
 	chunk := int(chunkRows)
 	if chunk <= 0 || chunk > 1<<20 {
@@ -625,53 +642,63 @@ func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine
 			if sess.InTxn() {
 				sess.Abort()
 			}
-			t := trailer(engine.ErrCanceled.Error(), nil)
-			t.First = false
-			return writeChunk(w, t)
+			var c RowsChunk
+			s.setTrailer(sess, &c, engine.ErrCanceled.Error())
+			return rw.writeChunk(&c)
 		}
 		rows, labels, err := cur.NextBatch(chunk)
 		if err != nil {
-			t := trailer(err.Error(), nil)
-			t.First = first
-			return writeChunk(w, t)
+			c := RowsChunk{First: first}
+			s.setTrailer(sess, &c, err.Error())
+			return rw.writeChunk(&c)
 		}
-		if len(rows) == 0 {
-			break
-		}
-		c := &RowsChunk{Rows: rows, RowLabels: labels}
+		c := RowsChunk{First: first, Rows: rows, RowLabels: labels}
 		if first {
-			c.First = true
 			c.Cols = cur.Cols()
 			first = false
 		}
-		if err := writeChunk(w, c); err != nil {
+		if cur.Done() {
+			// The statement has resolved: its last rows ride with the
+			// trailer (a zero-row result is the trailer alone).
+			s.setTrailer(sess, &c, "")
+			c.Affected = int64(cur.Affected())
+			return rw.writeChunk(&c)
+		}
+		if err := rw.writeChunk(&c); err != nil {
 			return err
 		}
-		if err := w.Flush(); err != nil {
+		if err := rw.w.Flush(); err != nil {
 			return err
 		}
 	}
-	t := trailer("", nil)
-	t.Affected = int64(cur.Affected())
-	t.First = first // zero-row results: the trailer is also the first chunk
-	if first {
-		t.Cols = cur.Cols()
-	}
-	return writeChunk(w, t)
+}
+
+// rowsWriter sends one connection's ROWS frames, encoding each — frame
+// header included — into a buffer reused across the connection's
+// statements, so a frame costs one buffered write. The buffer holds
+// only encoded output, which bufio.Writer copies or writes out before
+// Write returns; nothing decoded aliases it.
+type rowsWriter struct {
+	w   *bufio.Writer
+	buf []byte
 }
 
 // writeChunk encodes and sends one ROWS frame, splitting the chunk in
 // half (recursively) when the encoding would exceed the frame limit —
 // only a single unencodable row gives up.
-func writeChunk(w *bufio.Writer, c *RowsChunk) error {
-	enc, err := c.Encode()
+func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
+	buf, err := c.appendEncode(appendFrameHeader(rw.buf[:0], MsgRows))
 	if err != nil {
 		return err
 	}
-	if len(enc)+1 <= MaxFrame {
+	if cap(buf) <= MaxKeptEncodeBuf {
+		rw.buf = buf
+	}
+	if finishFrame(buf) == nil {
 		mFramesOut.Inc()
-		mRowsBytes.Add(int64(len(enc)))
-		return WriteFrame(w, MsgRows, enc)
+		mRowsBytes.Add(int64(len(buf) - 5))
+		_, err := rw.w.Write(buf)
+		return err
 	}
 	if len(c.Rows) <= 1 {
 		return fmt.Errorf("wire: single row exceeds the %d-byte frame limit", MaxFrame)
@@ -688,10 +715,10 @@ func writeChunk(w *bufio.Writer, c *RowsChunk) error {
 		left.RowLabels = c.RowLabels[:half]
 		right.RowLabels = c.RowLabels[half:]
 	}
-	if err := writeChunk(w, left); err != nil {
+	if err := rw.writeChunk(left); err != nil {
 		return err
 	}
-	return writeChunk(w, right)
+	return rw.writeChunk(right)
 }
 
 func (s *Server) runControl(sess *engine.Session, c *Control) *CtrlRes {
