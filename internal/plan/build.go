@@ -239,7 +239,8 @@ func (lv *level) prepareExprs() error {
 // assemble wires the analyzed level into its operator pipeline,
 // mirroring the legacy executeSelect stage order: sources+joins →
 // residual filter → aggregate/project → sort → distinct → offset →
-// limit.
+// limit. An ORDER BY with a LIMIT and no DISTINCT ends in a top-N sort
+// that applies the offset and limit itself.
 func (lv *level) assemble() (Node, error) {
 	var input Node
 	if lv.sel.From == nil {
@@ -260,6 +261,7 @@ func (lv *level) assemble() (Node, error) {
 			Child: input, Items: lv.items,
 			GroupBy: lv.sel.GroupBy, Having: lv.sel.Having,
 			OrderExprs: lv.orderExprs, Strip: lv.strip,
+			Pure: selectPure(lv.cat, lv.sel, nil),
 		}
 		a.schema = outputSchema(lv.items)
 		out = a
@@ -273,6 +275,12 @@ func (lv *level) assemble() (Node, error) {
 		desc := make([]bool, len(lv.sel.OrderBy))
 		for i, ob := range lv.sel.OrderBy {
 			desc[i] = ob.Desc
+		}
+		if lv.sel.Limit != nil && !lv.sel.Distinct {
+			// Top-N: the sort applies OFFSET and LIMIT itself. It drains
+			// its input, so a LimitNode's impure drain would add nothing.
+			return &SortNode{Child: out, Exprs: lv.orderExprs, Desc: desc,
+				Limit: lv.sel.Limit, Offset: lv.sel.Offset, Strip: lv.strip}, nil
 		}
 		out = &SortNode{Child: out, Exprs: lv.orderExprs, Desc: desc}
 	}

@@ -45,6 +45,28 @@ func TestStatementBattery(t *testing.T) {
 		SELECT id, salary FROM emp WHERE id >= 200 WITH DECLASSIFYING (t_alice)`)
 	p.setup("admin", `CREATE VIEW wellpaid AS SELECT id, name, salary FROM emp WHERE salary > 1500`)
 
+	// A high-integrity writer whose rows mix secrecy and integrity
+	// labels within groups: integrity {vouch,seal}, then {vouch,stamp},
+	// then {vouch,stamp} under alice's secrecy tag. Group labels must
+	// union the secrecy labels and intersect the integrity labels
+	// exactly as the oracle does, whether a row narrows them, widens
+	// them, or adds nothing.
+	p.addUser("voucher")
+	p.endorse("voucher", "t_vouch", "t_seal")
+	for i, dept := range []int64{7, 7, 1, 1, 7, 2, 2, 7, 3, 3} {
+		switch i {
+		case 4:
+			p.setup("voucher", `SELECT dropintegrity('t_seal')`)
+			p.endorse("voucher", "t_stamp")
+		case 7:
+			p.setup("voucher", `SELECT addsecrecy('t_alice')`)
+		}
+		id := int64(300 + i)
+		p.setup("voucher", `INSERT INTO emp VALUES ($1, $2, $3, $4, $5)`,
+			types.NewInt(id), types.NewInt(dept), types.NewText(name(id)),
+			types.NewInt(2000+id%7), types.NewInt(1))
+	}
+
 	battery := []struct {
 		user string
 		sql  string
@@ -85,6 +107,15 @@ func TestStatementBattery(t *testing.T) {
 		{"admin", `SELECT id FROM emp ORDER BY salary DESC, id LIMIT 5`, nil},
 		{"admin", `SELECT id FROM emp ORDER BY id LIMIT 4 OFFSET 10`, nil},
 		{"admin", `SELECT id FROM emp WHERE dept = 1 LIMIT 3 OFFSET 1`, nil},
+		// Top-N sorts whose keys tie with no tiebreaker: the arrival
+		// order of tied rows must survive the bounded sort.
+		{"admin", `SELECT id FROM emp ORDER BY dept LIMIT 7`, nil},
+		{"admin", `SELECT id FROM emp ORDER BY dept DESC LIMIT 3 OFFSET 4`, nil},
+		{"admin", `SELECT id FROM emp ORDER BY dept LIMIT 0`, nil},
+		{"admin", `SELECT id, name FROM emp ORDER BY dept LIMIT $1 OFFSET $2`,
+			args(types.NewInt(5), types.NewInt(9))},
+		{"alice", `SELECT id, _label FROM emp ORDER BY dept DESC LIMIT 12`, nil},
+		{"admin", `SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY 2 DESC LIMIT 2`, nil},
 		// Subqueries: IN, scalar, EXISTS, correlated.
 		{"admin", `SELECT id FROM emp WHERE dept IN (SELECT id FROM dept WHERE dname LIKE 'n10%') ORDER BY id`, nil},
 		{"admin", `SELECT id FROM emp WHERE salary = (SELECT MAX(salary) FROM emp) ORDER BY id`, nil},
@@ -99,6 +130,20 @@ func TestStatementBattery(t *testing.T) {
 		{"alice", `SELECT id, _label FROM emp WHERE id >= 200 ORDER BY id`, nil},
 		{"outsider", `SELECT COUNT(*) FROM emp`, nil},
 		{"alice", `SELECT COUNT(*) FROM emp`, nil},
+		// Group labels over mixed secrecy and integrity labels.
+		{"alice", `SELECT dept, COUNT(*), SUM(salary), _label, _ilabel FROM emp
+			GROUP BY dept ORDER BY dept`, nil},
+		{"alice", `SELECT COUNT(*), _label, _ilabel FROM emp WHERE dept = 7`, nil},
+		{"outsider", `SELECT dept, COUNT(*), _ilabel FROM emp WHERE dept >= 1
+			GROUP BY dept ORDER BY dept`, nil},
+		{"voucher", `SELECT dept, COUNT(*), MAX(id), _label, _ilabel FROM emp
+			GROUP BY dept ORDER BY dept`, nil},
+		{"voucher", `SELECT COUNT(*), _ilabel FROM emp`, nil},
+		// An aggregate that fails on an early row under a filter that
+		// fails on a later one: the input's error wins, as when the
+		// input was drained before the fold.
+		{"admin", `SELECT SUM(name) FROM emp WHERE 100 / (id - 20) <> 0`, nil},
+		{"admin", `SELECT dept, SUM(name) FROM emp GROUP BY dept`, nil},
 		{"alice", `SELECT id FROM emp WHERE label_size(_label) = 0 AND id < 10 ORDER BY id`, nil},
 		// Expression zoo in the projection.
 		{"admin", `SELECT id, salary * 2 + dept, -id, NOT (dept = 1) FROM emp
@@ -120,6 +165,48 @@ func TestStatementBattery(t *testing.T) {
 		}
 		p.execStream(tc.user, tc.sql, 3, tc.args...)
 		p.execPrepared(tc.user, tc.sql, tc.args...)
+	}
+
+	// An impure projection under ORDER BY ... LIMIT: the top-N sort
+	// keeps one row, but nextval still runs once per input row.
+	for _, sd := range []*side{p.legacy, p.stream} {
+		if err := sd.e.CreateSequence("seq"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := p.exec("admin", `SELECT COUNT(*) FROM emp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visible := res.Rows[0][0].Int()
+	const impure = `SELECT nextval('seq') FROM emp ORDER BY id LIMIT 1`
+	runs := []func(){
+		func() { p.exec("admin", impure) },
+		func() { p.execStream("admin", impure, 3) },
+		func() { p.execPrepared("admin", impure) },
+	}
+	for i, run := range runs {
+		run()
+		res, err := p.exec("admin", `SELECT nextval('seq')`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rows[0][0].Int(), int64(i+1)*(visible+1); got != want {
+			t.Fatalf("after run %d of %s: nextval = %d, want %d", i, impure, got, want)
+		}
+	}
+
+	// Aggregates over an impure input: every WHERE nextval runs before
+	// any aggregate argument's, as when the legacy executor drained the
+	// input before the fold. A fold that streamed would interleave them.
+	for _, q := range []string{
+		`SELECT SUM(nextval('seq')), COUNT(*) FROM emp WHERE nextval('seq') > 0`,
+		`SELECT dept, MIN(nextval('seq')) FROM emp WHERE nextval('seq') > 0
+			GROUP BY dept ORDER BY dept`,
+	} {
+		p.exec("admin", q)
+		p.execStream("admin", q, 3)
+		p.execPrepared("admin", q)
 	}
 
 	// DDL invalidates cached plans: re-run a cached statement after an

@@ -76,6 +76,28 @@ func (p *pair) addUser(user string, tagNames ...string) {
 	}
 }
 
+// endorse raises a user's integrity label on both sides with the named
+// tags, creating each (owned by the user) on first use, so the user's
+// later writes carry that integrity label.
+func (p *pair) endorse(user string, tagNames ...string) {
+	p.t.Helper()
+	for _, sd := range []*side{p.legacy, p.stream} {
+		s := sd.session(user)
+		for _, tn := range tagNames {
+			tg, ok := sd.e.LookupTag(tn)
+			if !ok {
+				var err error
+				if tg, err = sd.e.CreateTag(s.Principal(), tn); err != nil {
+					p.t.Fatalf("%s: create tag %q: %v", sd.name, tn, err)
+				}
+			}
+			if err := s.Endorse(tg); err != nil {
+				p.t.Fatalf("%s: %q endorse %q: %v", sd.name, user, tn, err)
+			}
+		}
+	}
+}
+
 // setup runs a statement on both sides as the given user and requires
 // success on both (schema/seed statements, not comparison subjects —
 // though the results are still diffed).

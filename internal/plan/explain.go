@@ -13,7 +13,8 @@ import (
 // operator per line, leaves (scans) at the bottom. The rendering is
 // deterministic — it is golden-tested — and shows every analysis
 // decision: chosen index and bound prefix, pushed predicates, pruned
-// column sets, join strategy, and whether LIMIT may early-exit.
+// column sets, join strategy, whether LIMIT may early-exit, and a
+// top-N sort's bound: "top L+O" keeps L+O rows and emits the last L.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	renderNode(p.Root, &sb, "", true, true)
@@ -145,7 +146,14 @@ func describe(n Node) (string, []Node) {
 				parts[i] += " DESC"
 			}
 		}
-		return "sort [" + strings.Join(parts, ", ") + "]", []Node{x.Child}
+		s := "sort [" + strings.Join(parts, ", ") + "]"
+		if x.Limit != nil {
+			s += " top " + formatExpr(x.Limit)
+			if x.Offset != nil {
+				s += "+" + formatExpr(x.Offset)
+			}
+		}
+		return s, []Node{x.Child}
 	case *DistinctNode:
 		return "distinct", []Node{x.Child}
 	case *OffsetNode:

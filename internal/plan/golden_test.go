@@ -77,6 +77,7 @@ var explainCases = []struct{ name, sql string }{
 	{"aggregate", `SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept HAVING COUNT(*) > 7`},
 	{"distinct_sort", `SELECT DISTINCT dept FROM emp ORDER BY dept DESC`},
 	{"limit_offset", `SELECT id FROM emp ORDER BY salary DESC LIMIT 5 OFFSET 2`},
+	{"topn_params", `SELECT id, name FROM emp ORDER BY dept, salary DESC LIMIT $1`},
 	// LIMIT purity: a pure streaming pipeline early-exits; an impure
 	// projection must drain for its side effects.
 	{"limit_early_exit", `SELECT id FROM emp WHERE dept = 1 LIMIT 3`},

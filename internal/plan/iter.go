@@ -2,8 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"ifdb/internal/exec"
 	"ifdb/internal/index"
@@ -65,6 +66,10 @@ type scanIter struct {
 
 	batch storage.BatchScanner // heap mode; nil → one-shot fallback
 	next  storage.TID
+	// visit is visitTuple bound once at open, so a heap refill
+	// allocates no callback; it leaves its error in visitErr.
+	visit    func(storage.TID, *storage.TupleVersion) bool
+	visitErr error
 
 	lastKey index.Key // index mode resume position
 	lastTID storage.TID
@@ -100,6 +105,7 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 		if bs, ok := n.Table.Heap.(storage.BatchScanner); ok {
 			it.batch = bs
 		}
+		it.visit = it.visitTuple
 	}
 	return it, nil
 }
@@ -142,20 +148,19 @@ func (it *scanIter) accept(tv *storage.TupleVersion) error {
 	return nil
 }
 
+func (it *scanIter) visitTuple(_ storage.TID, tv *storage.TupleVersion) bool {
+	if it.visitErr = it.rt.Host.Check(); it.visitErr != nil {
+		return false
+	}
+	it.visitErr = it.accept(tv)
+	return it.visitErr == nil
+}
+
 func (it *scanIter) refillHeap() error {
-	var cbErr error
-	next, more := it.batch.ScanFrom(it.next, scanBatch, func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.Host.Check(); cbErr != nil {
-			return false
-		}
-		if cbErr = it.accept(tv); cbErr != nil {
-			return false
-		}
-		return true
-	})
+	next, more := it.batch.ScanFrom(it.next, scanBatch, it.visit)
 	it.next = next
-	if cbErr != nil {
-		return cbErr
+	if it.visitErr != nil {
+		return it.visitErr
 	}
 	if !more {
 		it.done = true
@@ -166,18 +171,9 @@ func (it *scanIter) refillHeap() error {
 // materializeHeap is the fallback for heaps without BatchScanner: one
 // locked pass, everything buffered (legacy behaviour).
 func (it *scanIter) materializeHeap() error {
-	var cbErr error
-	it.n.Table.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.Host.Check(); cbErr != nil {
-			return false
-		}
-		if cbErr = it.accept(tv); cbErr != nil {
-			return false
-		}
-		return true
-	})
+	it.n.Table.Heap.Scan(it.visit)
 	it.done = true
-	return cbErr
+	return it.visitErr
 }
 
 func (it *scanIter) refillIndex() error {
@@ -583,52 +579,149 @@ func (it *projectIter) Close() { it.child.Close() }
 // ---------------------------------------------------------------------------
 // Sort
 
+// sortIter orders rows by (Sort keys, arrival sequence). The sequence
+// makes the order total, so any sort algorithm — and a bounded heap —
+// yields exactly the order a stable sort of the whole input gives.
+//
+// With a bound k = limit+offset it keeps at most k rows: the first k
+// are buffered; once k are held they form a max-heap, and each later
+// row either replaces the heap's greatest row or is dropped as it is
+// pulled. It then skips offset rows and emits at most limit.
 type sortIter struct {
 	n       *SortNode
 	child   Iter
+	limit   int64
+	offset  int64
+	keep    int64 // row bound (limit+offset); -1 keeps every row
 	started bool
-	rows    []Row
+	rows    []sortEntry
 	pos     int
 }
 
+type sortEntry struct {
+	row Row
+	seq int64
+}
+
+// open evaluates LIMIT before OFFSET and both before the input opens,
+// as the Limit and Offset operators the top-N sort replaces did.
 func (n *SortNode) open(rt *Runtime) (Iter, error) {
+	it := &sortIter{n: n, limit: math.MaxInt64, keep: -1}
+	if n.Limit != nil {
+		env := rt.env(nil, n.Strip)
+		var err error
+		if it.limit, err = evalIntConst(n.Limit, &env); err != nil {
+			return nil, err
+		}
+		if n.Offset != nil {
+			if it.offset, err = evalIntConst(n.Offset, &env); err != nil {
+				return nil, err
+			}
+		}
+		// An overflowing bound sorts the whole input.
+		if it.limit <= math.MaxInt64-it.offset {
+			it.keep = it.limit + it.offset
+		}
+	}
 	child, err := n.Child.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	return &sortIter{n: n, child: child}, nil
+	it.child = child
+	return it, nil
 }
 
 func (it *sortIter) Next() (*Row, error) {
 	if !it.started {
 		it.started = true
-		rows, err := drainIter(it.child)
+		err := it.fill()
 		it.child.Close()
 		if err != nil {
 			return nil, err
 		}
-		desc := it.n.Desc
-		sort.SliceStable(rows, func(i, j int) bool {
-			a, b := rows[i].Sort, rows[j].Sort
-			for k := range a {
-				c := a[k].Compare(b[k])
-				if c != 0 {
-					if desc[k] {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		it.rows = rows
 	}
 	if it.pos >= len(it.rows) {
 		return nil, nil
 	}
-	r := &it.rows[it.pos]
+	r := &it.rows[it.pos].row
 	it.pos++
 	return r, nil
+}
+
+// fill pulls the whole input, keeping the rows the bound admits, then
+// sorts them and cuts the offset and limit window.
+func (it *sortIter) fill() error {
+	if it.keep >= 0 {
+		// A huge LIMIT must not allocate up front: start at one batch.
+		it.rows = make([]sortEntry, 0, min(it.keep, scanBatch))
+	}
+	for seq := int64(0); ; seq++ {
+		r, err := it.child.Next()
+		if err != nil {
+			return err
+		}
+		if r == nil {
+			break
+		}
+		switch held := int64(len(it.rows)); {
+		case it.keep < 0 || held < it.keep:
+			it.rows = append(it.rows, sortEntry{row: *r, seq: seq})
+			if held+1 == it.keep {
+				for i := len(it.rows)/2 - 1; i >= 0; i-- {
+					it.siftDown(i)
+				}
+			}
+		case it.keep > 0 && it.cmpRow(r, &it.rows[0].row) < 0:
+			// r sorts before the greatest held row. A tie keeps the held
+			// row: it arrived first.
+			it.rows[0] = sortEntry{row: *r, seq: seq}
+			it.siftDown(0)
+		}
+	}
+	sort.Slice(it.rows, func(i, j int) bool { return it.less(i, j) })
+	it.rows = it.rows[min(it.offset, int64(len(it.rows))):]
+	it.rows = it.rows[:min(it.limit, int64(len(it.rows)))]
+	return nil
+}
+
+// siftDown restores the max-heap property below rows[i].
+func (it *sortIter) siftDown(i int) {
+	n := len(it.rows)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && it.less(c, c+1) {
+			c++
+		}
+		if !it.less(i, c) {
+			return
+		}
+		it.rows[i], it.rows[c] = it.rows[c], it.rows[i]
+		i = c
+	}
+}
+
+func (it *sortIter) less(i, j int) bool {
+	a, b := &it.rows[i], &it.rows[j]
+	if c := it.cmpRow(&a.row, &b.row); c != 0 {
+		return c < 0
+	}
+	return a.seq < b.seq
+}
+
+// cmpRow compares two rows by their ORDER BY keys and directions.
+func (it *sortIter) cmpRow(a, b *Row) int {
+	for k := range a.Sort {
+		if c := a.Sort[k].Compare(b.Sort[k]); c != 0 {
+			if it.n.Desc[k] {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 func (it *sortIter) Close() { it.child.Close() }
@@ -768,22 +861,33 @@ func evalIntConst(e sql.Expr, env *exec.Env) (int64, error) {
 // Key helpers (byte-compatible with the legacy executor)
 
 func hashKey(vals []types.Value, cols []int) string {
-	var b strings.Builder
+	var b []byte
 	for _, c := range cols {
-		v := vals[c]
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		b = appendKey(b, vals[c])
 	}
-	return b.String()
+	return string(b)
 }
 
 func rowKey(vals []types.Value) string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range vals {
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		b = appendKey(b, v)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendKey appends v's key encoding to b: its kind byte, its text
+// form, and a NUL terminator. Two values get the same encoding exactly
+// when the legacy executor's string keys were equal.
+func appendKey(b []byte, v types.Value) []byte {
+	b = append(b, byte(v.Kind()))
+	switch v.Kind() {
+	case types.KindInt:
+		b = strconv.AppendInt(b, v.Int(), 10)
+	case types.KindText:
+		b = append(b, v.Text()...)
+	default:
+		b = append(b, v.String()...)
+	}
+	return append(b, 0)
 }

@@ -138,13 +138,19 @@ type ProjectNode struct {
 
 func (n *ProjectNode) Schema() exec.Schema { return n.schema }
 
-// AggregateNode groups and folds its input. Blocking by nature.
+// AggregateNode groups and folds its input. Blocking by nature: it
+// holds one accumulator set per group. When the statement is provably
+// free of state-changing function calls (Pure), input rows are folded
+// as they are pulled; otherwise the input is drained first, so every
+// side effect below runs before any aggregate argument is evaluated,
+// as in the legacy executor.
 type AggregateNode struct {
 	Child      Node
 	Items      []sql.SelectItem
 	GroupBy    []sql.Expr
 	Having     sql.Expr
 	OrderExprs []sql.Expr
+	Pure       bool
 	Strip      label.Label
 
 	schema exec.Schema
@@ -153,12 +159,20 @@ type AggregateNode struct {
 func (n *AggregateNode) Schema() exec.Schema { return n.schema }
 
 // SortNode orders its input by the Sort keys the projection attached.
+// With Limit set it is a bounded top-N sort standing in for the
+// level's Offset and Limit operators: it keeps only the first
+// Limit+Offset rows of the order, then skips Offset of them and emits
+// the rest. The build sets Limit only when the level has no DISTINCT.
 type SortNode struct {
 	Child Node
 	// Exprs are the alias-substituted ORDER BY expressions (for
 	// EXPLAIN); Desc holds each key's direction.
 	Exprs []sql.Expr
 	Desc  []bool
+
+	Limit  sql.Expr // nil: sort the whole input
+	Offset sql.Expr // nil: no OFFSET
+	Strip  label.Label
 }
 
 func (n *SortNode) Schema() exec.Schema { return n.Child.Schema() }
